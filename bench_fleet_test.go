@@ -139,12 +139,23 @@ func benchLegacyPath(b *testing.B, n int) {
 }
 
 // runShardedBench executes one RunFleetSharded of n standard workloads
-// over the given shard count (sharded runs own their per-shard
-// environments, so only the result survives for retention measurement).
+// over the given shard count on the single-region arm (sharded runs own
+// their per-shard environments, so only the result survives for
+// retention measurement).
 func runShardedBench(n, shards int) (*experiment.FleetResult, error) {
-	single := func(env *experiment.Env) (strategy.Strategy, error) {
-		return baselines.NewSingleRegion(env.Catalog(), catalog.M5XLarge, experiment.BaselineRegionM5XLarge)
-	}
+	return runShardedArm(n, shards, singleRegionArm)
+}
+
+func singleRegionArm(env *experiment.Env) (strategy.Strategy, error) {
+	return baselines.NewSingleRegion(env.Catalog(), catalog.M5XLarge, experiment.BaselineRegionM5XLarge)
+}
+
+func skyPilotArm(env *experiment.Env) (strategy.Strategy, error) {
+	return baselines.NewSkyPilotLike(env.Engine, env.Market, catalog.M5XLarge)
+}
+
+// runShardedArm is runShardedBench over an arbitrary strategy arm.
+func runShardedArm(n, shards int, arm func(env *experiment.Env) (strategy.Strategy, error)) (*experiment.FleetResult, error) {
 	f, err := workload.GenerateFleet(simclock.Stream(benchSeed, "wl-standard"),
 		workload.GenOptions{Kind: workload.KindStandard, Count: n})
 	if err != nil {
@@ -152,7 +163,7 @@ func runShardedBench(n, shards int) (*experiment.FleetResult, error) {
 	}
 	return experiment.RunFleetSharded(benchSeed, experiment.FleetShardedConfig{
 		Fleet:           f,
-		NewStrategy:     single,
+		NewStrategy:     arm,
 		InstanceType:    catalog.M5XLarge,
 		AllowIncomplete: true,
 		Shards:          shards,
@@ -200,6 +211,18 @@ func BenchmarkFleetSharded100kShards8(b *testing.B) { benchShardedPath(b, 100000
 // under -race (shadow-memory allocations) and takes the best of two
 // runs to ride out unrelated background allocation.
 func TestFleetShardedAllocBudget(t *testing.T) {
+	checkShardedAllocBudget(t, "single-region", 33, singleRegionArm)
+}
+
+// TestFleetShardedAllocBudgetSkyPilot pins the same rate on the
+// SkyPilot-like arm, whose relaunch decisions are memoised per market
+// price step: at most 28 heap allocations per workload at N=10k.
+func TestFleetShardedAllocBudgetSkyPilot(t *testing.T) {
+	checkShardedAllocBudget(t, "skypilot", 28, skyPilotArm)
+}
+
+func checkShardedAllocBudget(t *testing.T, name string, budget float64, arm func(env *experiment.Env) (strategy.Strategy, error)) {
+	t.Helper()
 	if raceflag.Enabled {
 		t.Skip("race detector allocates shadow memory; alloc budget is meaningless")
 	}
@@ -207,16 +230,15 @@ func TestFleetShardedAllocBudget(t *testing.T) {
 		t.Skip("alloc budget runs full 10k simulations")
 	}
 	const n = 10000
-	const budget = 33.0
 	// Warm the shared market snapshot and the worker pool.
-	if _, err := runShardedBench(100, 1); err != nil {
+	if _, err := runShardedArm(100, 1, arm); err != nil {
 		t.Fatal(err)
 	}
 	measure := func() float64 {
 		var before, after runtime.MemStats
 		runtime.GC()
 		runtime.ReadMemStats(&before)
-		res, err := runShardedBench(n, 1)
+		res, err := runShardedArm(n, 1, arm)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -228,9 +250,9 @@ func TestFleetShardedAllocBudget(t *testing.T) {
 	if second := measure(); second < perWl {
 		perWl = second
 	}
-	t.Logf("sharded fleet path: %.1f allocs/workload at n=%d (budget %.1f)", perWl, n, budget)
+	t.Logf("sharded fleet path, %s: %.1f allocs/workload at n=%d (budget %.1f)", name, perWl, n, budget)
 	if perWl > budget {
-		t.Errorf("sharded fleet path allocates %.1f/workload at n=%d, want <= %.1f", perWl, n, budget)
+		t.Errorf("sharded fleet path, %s, allocates %.1f/workload at n=%d, want <= %.1f", name, perWl, n, budget)
 	}
 }
 

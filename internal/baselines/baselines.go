@@ -8,6 +8,7 @@ package baselines
 import (
 	"errors"
 	"fmt"
+	"time"
 
 	"spotverse/internal/catalog"
 	"spotverse/internal/cloud"
@@ -103,10 +104,22 @@ func (s *OnDemand) OnInterrupted(_ string, _ catalog.Region, relaunch strategy.R
 // live market the way SkyPilot's optimizer queries cloud pricing
 // catalogs; reliability metrics play no part, which is exactly the
 // behavioural difference the paper measures.
+//
+// Spot prices move only on market.PriceStep boundaries, so the cheapest
+// region is a function of the price-step index alone. The broker
+// resolves its offered-region list once and memoises the winner per
+// step; a relaunch inside an already-priced step is a slice load, with
+// no market lookup and no allocation.
 type SkyPilotLike struct {
 	eng *simclock.Engine
 	mkt *market.Model
 	t   catalog.InstanceType
+
+	// regions lists the regions offering t, sorted.
+	regions []catalog.Region
+	// cheapest[k] is 1 + the index in regions of price step k's cheapest
+	// region, or 0 while step k is unpriced.
+	cheapest []int32
 }
 
 var _ strategy.Strategy = (*SkyPilotLike)(nil)
@@ -116,30 +129,41 @@ func NewSkyPilotLike(eng *simclock.Engine, mkt *market.Model, t catalog.Instance
 	if _, err := mkt.Catalog().Spec(t); err != nil {
 		return nil, err
 	}
-	return &SkyPilotLike{eng: eng, mkt: mkt, t: t}, nil
+	return &SkyPilotLike{eng: eng, mkt: mkt, t: t, regions: mkt.Catalog().OfferedRegions(t)}, nil
 }
 
 // cheapestNow finds the globally cheapest spot region at this instant.
 func (s *SkyPilotLike) cheapestNow() (catalog.Region, error) {
-	at := s.eng.Now()
-	var (
-		best      catalog.Region
-		bestPrice float64
-		found     bool
-	)
-	for _, r := range s.mkt.Catalog().OfferedRegions(s.t) {
+	return s.cheapestAt(s.eng.Now())
+}
+
+// cheapestAt returns the cheapest spot region at an instant: the first
+// region, in sorted order, with the strictly lowest price. Instants
+// before the market start share step 0, as they do in the snapshot.
+func (s *SkyPilotLike) cheapestAt(at time.Time) (catalog.Region, error) {
+	k := s.mkt.PriceStepIndex(at)
+	if k < len(s.cheapest) && s.cheapest[k] > 0 {
+		return s.regions[s.cheapest[k]-1], nil
+	}
+	best := -1
+	var bestPrice float64
+	for i, r := range s.regions {
 		p, _, err := s.mkt.RegionSpotPrice(s.t, r, at)
 		if err != nil {
 			return "", err
 		}
-		if !found || p < bestPrice {
-			best, bestPrice, found = r, p, true
+		if best < 0 || p < bestPrice {
+			best, bestPrice = i, p
 		}
 	}
-	if !found {
+	if best < 0 {
 		return "", fmt.Errorf("skypilot: %s offered nowhere", s.t)
 	}
-	return best, nil
+	if k >= len(s.cheapest) {
+		s.cheapest = append(s.cheapest, make([]int32, k+1-len(s.cheapest))...)
+	}
+	s.cheapest[k] = int32(best + 1)
+	return s.regions[best], nil
 }
 
 // Name implements strategy.Strategy.

@@ -3,6 +3,7 @@ package baselines
 import (
 	"errors"
 	"testing"
+	"time"
 
 	"spotverse/internal/catalog"
 	"spotverse/internal/cloud"
@@ -146,5 +147,114 @@ func TestNaiveMultiRegionValidates(t *testing.T) {
 	}
 	if _, err := NewNaiveMultiRegion(cat, catalog.P32XLarge, []catalog.Region{"ca-central-1"}, 1); !errors.Is(err, ErrNotOffered) {
 		t.Fatalf("err = %v", err)
+	}
+}
+
+// scanCheapest is the uncached reference for SkyPilotLike's memo: it
+// rebuilds the offered-region list and prices every region at the
+// instant, keeping the first region with the strictly lowest price.
+func scanCheapest(t *testing.T, mkt *market.Model, it catalog.InstanceType, at time.Time) catalog.Region {
+	t.Helper()
+	var (
+		best      catalog.Region
+		bestPrice float64
+	)
+	for _, r := range mkt.Catalog().OfferedRegions(it) {
+		p, _, err := mkt.RegionSpotPrice(it, r, at)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if best == "" || p < bestPrice {
+			best, bestPrice = r, p
+		}
+	}
+	return best
+}
+
+// TestSkyPilotMemoMatchesScan checks the per-price-step memo against
+// an uncached scan: hourly relaunch decisions over a 14-day horizon
+// driven through the engine clock, then direct queries before the
+// market start and on either side of every step boundary, answered
+// both from a warm memo and from a fresh broker filled in reverse.
+func TestSkyPilotMemoMatchesScan(t *testing.T) {
+	const horizon = 14 * 24 * time.Hour
+	for _, seed := range []int64{3, 9, 42} {
+		for _, it := range []catalog.InstanceType{catalog.M5XLarge, catalog.P32XLarge} {
+			eng, mkt := testMarket(seed)
+			s, err := NewSkyPilotLike(eng, mkt, it)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for h := time.Duration(0); h <= horizon; h += time.Hour {
+				if _, err := eng.ScheduleAt(simclock.Epoch.Add(h), "relaunch", func() {
+					var got strategy.Placement
+					if err := s.OnInterrupted("a", "", func(p strategy.Placement) { got = p }); err != nil {
+						t.Fatal(err)
+					}
+					if want := scanCheapest(t, mkt, it, eng.Now()); got.Region != want {
+						t.Errorf("seed %d %s at %v: relaunch in %s, scan says %s", seed, it, eng.Now(), got.Region, want)
+					}
+				}); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if err := eng.Run(simclock.Epoch.Add(horizon + time.Hour)); err != nil {
+				t.Fatal(err)
+			}
+
+			var ats []time.Time
+			for _, d := range []time.Duration{-7 * 24 * time.Hour, -time.Hour, -1} {
+				ats = append(ats, simclock.Epoch.Add(d))
+			}
+			for step := time.Duration(0); step <= horizon; step += market.PriceStep {
+				ats = append(ats, simclock.Epoch.Add(step-1), simclock.Epoch.Add(step), simclock.Epoch.Add(step+1))
+			}
+			cold, err := NewSkyPilotLike(eng, mkt, it)
+			if err != nil {
+				t.Fatal(err)
+			}
+			check := func(b *SkyPilotLike, at time.Time) {
+				got, err := b.cheapestAt(at)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if want := scanCheapest(t, mkt, it, at); got != want {
+					t.Errorf("seed %d %s at %v: memo %s, scan %s", seed, it, at, got, want)
+				}
+			}
+			for _, at := range ats {
+				check(s, at)
+			}
+			for i := len(ats) - 1; i >= 0; i-- {
+				check(cold, ats[i])
+			}
+		}
+	}
+}
+
+// TestSkyPilotMemoHitAllocatesNothing pins the relaunch fast path: once
+// a price step is memoised, a relaunch decision inside it allocates
+// nothing.
+func TestSkyPilotMemoHitAllocatesNothing(t *testing.T) {
+	eng, mkt := testMarket(42)
+	s, err := NewSkyPilotLike(eng, mkt, catalog.M5XLarge)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got strategy.Placement
+	relaunch := func(p strategy.Placement) { got = p }
+	if err := s.OnInterrupted("a", "", relaunch); err != nil {
+		t.Fatal(err)
+	}
+	allocs := testing.AllocsPerRun(1000, func() {
+		if err := s.OnInterrupted("a", "", relaunch); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs != 0 {
+		t.Errorf("memoised relaunch decision allocates %.1f times, want 0", allocs)
+	}
+	if want := scanCheapest(t, mkt, catalog.M5XLarge, eng.Now()); got.Region != want {
+		t.Errorf("relaunch in %s, scan says %s", got.Region, want)
 	}
 }

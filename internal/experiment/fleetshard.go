@@ -2,8 +2,10 @@ package experiment
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"runtime/pprof"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -21,6 +23,11 @@ import (
 // billing and retry behaviour couple workloads across shard boundaries.
 // They stay on RunFleet.
 var ErrCheckpointSharded = fmt.Errorf("experiment: checkpoint fleets are not shardable; use RunFleet")
+
+// ErrMergeConservation reports merged shard aggregates that contradict
+// each other — a driver bookkeeping bug, never a property of the
+// simulated market.
+var ErrMergeConservation = errors.New("experiment: shard merge conservation violated")
 
 // splitmixFleetStream names the per-workload draw family. Workload i's
 // trajectory draws come from SplitMixAt(SplitMixFamily(seed, name), i),
@@ -67,11 +74,11 @@ type FleetShardedConfig struct {
 // sentinel, and per-workload SplitMix64 draw streams keyed by global
 // index; shards run concurrently on the bounded worker pool; and the
 // per-shard streaming aggregates merge under order-canonical rules
-// (sorted cost log, sorted launch/stop logs, index-ordered completion
-// stats). Every quantity in the result is a function of per-workload
-// trajectories plus a canonical reduction, and each trajectory is a
-// pure function of (seed, global index, market) — so the output is
-// byte-identical at any shard count and any worker count.
+// (index-ordered cost log, time-ordered launch/stop logs, index-ordered
+// completion stats). Every quantity in the result is a function of
+// per-workload trajectories plus a canonical reduction, and each
+// trajectory is a pure function of (seed, global index, market) — so
+// the output is byte-identical at any shard count and any worker count.
 //
 // The one intentional difference from RunFleet: the 15-minute open-
 // request sweep is self-scheduled on each shard engine rather than
@@ -122,6 +129,9 @@ type shardOut struct {
 	strategyName string
 	startNs      int64
 
+	// base and n are the shard's global workload range [base, base+n).
+	base, n int
+
 	completed           int
 	interruptions       int
 	onDemandLaunches    int
@@ -135,11 +145,13 @@ type shardOut struct {
 
 	// costLog records (global index, final cost) per terminated
 	// instance, in termination order — which within one workload is
-	// shard-count-invariant. The merge stable-sorts by index and sums.
+	// shard-count-invariant. The merge counting-sorts it by index and
+	// sums.
 	costLog []indexedCost
-	// launchNs/stopNs stamp tracked instance starts and stops; the merge
-	// recovers the global concurrency high-water mark from the sorted
-	// logs.
+	// launchNs/stopNs stamp tracked instance starts and stops at the
+	// shard engine's monotone clock, so each is ascending; the merge
+	// k-way merges them to recover the global concurrency high-water
+	// mark.
 	launchNs []int64
 	stopNs   []int64
 
@@ -230,6 +242,8 @@ func runFleetShardLabeled(seed int64, family uint64, cfg *FleetShardedConfig, f 
 	buckets := int(cfg.Horizon/cfg.Interval) + 1
 	out := &shardOut{
 		startNs:                  start.UnixNano(),
+		base:                     f.Base,
+		n:                        n,
 		interruptionsByRegion:    make(map[catalog.Region]int),
 		launchesByRegion:         make(map[catalog.Region]int),
 		completionsPerInterval:   make([]int, buckets),
@@ -487,13 +501,20 @@ func (d *shardDriver) onTerminate(inst *cloud.Instance, interrupted bool) {
 // both the shard count and the worker interleaving:
 //
 //   - counters and histograms are integer sums;
-//   - instance cost stable-sorts the concatenated (global index, cost)
-//     log and sums in that order — within one workload, termination
-//     order is shard-count-invariant, so the float sum is too;
-//   - peak concurrency replays the sorted launch/stop stamps, with
-//     stops at an instant applied before launches at the same instant;
+//   - instance cost counting-sorts each shard's (global index, cost) log
+//     by index — stable, so within one workload termination order, which
+//     is shard-count-invariant, is kept — and sums every shard's ordered
+//     costs into one accumulator in shard order; shards cover ascending
+//     contiguous index ranges, so the float sum is too;
+//   - peak concurrency k-way merges the per-shard launch/stop stamps,
+//     with stops at an instant applied before launches at the same
+//     instant;
 //   - completion stats are recomputed from the fleet's CompletedAtNanos
 //     column in global index order.
+//
+// The merge then checks conservation: every tracked launch has a stop,
+// no more workloads completed than exist, and the per-region and
+// per-interval breakdowns sum to their totals.
 func mergeShards(cfg *FleetShardedConfig, outs []*shardOut) (*FleetResult, error) {
 	f := cfg.Fleet
 	n := f.Len()
@@ -508,8 +529,6 @@ func mergeShards(cfg *FleetShardedConfig, outs []*shardOut) (*FleetResult, error
 		InterruptionsPerInterval: make([]int, buckets),
 	}
 
-	var costs []indexedCost
-	var launches, stops []int64
 	for _, o := range outs {
 		if o.strategyName != "" {
 			res.StrategyName = o.strategyName
@@ -533,30 +552,19 @@ func mergeShards(cfg *FleetShardedConfig, outs []*shardOut) (*FleetResult, error
 		}
 		res.EventsFired += o.firedAdj
 		res.ServiceCostUSD += o.serviceCostUSD
-		costs = append(costs, o.costLog...)
-		launches = append(launches, o.launchNs...)
-		stops = append(stops, o.stopNs...)
+	}
+	if err := checkConservation(res, outs); err != nil {
+		return nil, err
 	}
 
-	sort.SliceStable(costs, func(i, j int) bool { return costs[i].gidx < costs[j].gidx })
-	for _, c := range costs {
-		res.InstanceCostUSD += c.usd
-	}
+	res.InstanceCostUSD = sumCostLogs(outs)
 	res.TotalCostUSD = res.InstanceCostUSD + res.ServiceCostUSD
 
-	sort.Slice(launches, func(i, j int) bool { return launches[i] < launches[j] })
-	sort.Slice(stops, func(i, j int) bool { return stops[i] < stops[j] })
-	running, j := 0, 0
-	for _, t := range launches {
-		for j < len(stops) && stops[j] <= t {
-			running--
-			j++
-		}
-		running++
-		if running > res.PeakRunning {
-			res.PeakRunning = running
-		}
+	peak, err := peakRunning(outs)
+	if err != nil {
+		return nil, err
 	}
+	res.PeakRunning = peak
 
 	if res.Completed > 0 {
 		var sum float64
@@ -581,4 +589,144 @@ func mergeShards(cfg *FleetShardedConfig, outs []*shardOut) (*FleetResult, error
 			ErrHorizon, res.Completed, n, cfg.Horizon, res.StrategyName)
 	}
 	return res, nil
+}
+
+// checkConservation cross-checks the summed counters against the logs
+// and breakdowns they must agree with.
+func checkConservation(res *FleetResult, outs []*shardOut) error {
+	launches, stops := 0, 0
+	for _, o := range outs {
+		launches += len(o.launchNs)
+		stops += len(o.stopNs)
+	}
+	if launches != stops {
+		return fmt.Errorf("%w: %d tracked launches, %d stops", ErrMergeConservation, launches, stops)
+	}
+	if res.Completed > res.Workloads {
+		return fmt.Errorf("%w: %d completed of %d workloads", ErrMergeConservation, res.Completed, res.Workloads)
+	}
+	byRegion := 0
+	for _, c := range res.InterruptionsByRegion {
+		byRegion += c
+	}
+	if byRegion != res.Interruptions {
+		return fmt.Errorf("%w: interruptions by region sum to %d, want %d", ErrMergeConservation, byRegion, res.Interruptions)
+	}
+	if s := sumInts(res.InterruptionsPerInterval); s != res.Interruptions {
+		return fmt.Errorf("%w: interruptions per interval sum to %d, want %d", ErrMergeConservation, s, res.Interruptions)
+	}
+	if s := sumInts(res.CompletionsPerInterval); s != res.Completed {
+		return fmt.Errorf("%w: completions per interval sum to %d, want %d", ErrMergeConservation, s, res.Completed)
+	}
+	return nil
+}
+
+func sumInts(xs []int) int {
+	s := 0
+	for _, x := range xs {
+		s += x
+	}
+	return s
+}
+
+// sumCostLogs sums every terminated instance's cost in (global index,
+// termination order) order. Each shard's indices form the dense range
+// [base, base+n), so a stable counting sort orders its log in linear
+// time; shards are summed in shard order into one accumulator, which is
+// the addition sequence of a stable sort over the concatenated logs.
+func sumCostLogs(outs []*shardOut) float64 {
+	var (
+		total   float64
+		next    []int
+		ordered []float64
+	)
+	for _, o := range outs {
+		if len(o.costLog) == 0 {
+			continue
+		}
+		// next[i+1] counts workload i's entries; the prefix sum turns
+		// next[i] into the slot of workload i's next entry.
+		next = slices.Grow(next[:0], o.n+1)[:o.n+1]
+		clear(next)
+		for _, c := range o.costLog {
+			next[c.gidx-o.base+1]++
+		}
+		for i := 1; i <= o.n; i++ {
+			next[i] += next[i-1]
+		}
+		ordered = slices.Grow(ordered[:0], len(o.costLog))[:len(o.costLog)]
+		for _, c := range o.costLog {
+			i := c.gidx - o.base
+			ordered[next[i]] = c.usd
+			next[i]++
+		}
+		for _, usd := range ordered {
+			total += usd
+		}
+	}
+	return total
+}
+
+// peakRunning replays every shard's launch and stop stamps in global
+// time order and returns the concurrency high-water mark; stops at an
+// instant apply before launches at the same instant. Each shard's logs
+// are already ascending, so a k-way merge replaces a global sort.
+func peakRunning(outs []*shardOut) (int, error) {
+	launches := make(stampMerge, 0, len(outs))
+	stops := make(stampMerge, 0, len(outs))
+	for _, o := range outs {
+		if len(o.launchNs) > 0 {
+			launches = append(launches, o.launchNs)
+		}
+		if len(o.stopNs) > 0 {
+			stops = append(stops, o.stopNs)
+		}
+	}
+	running, peak := 0, 0
+	for {
+		k := launches.smallest()
+		if k < 0 {
+			break
+		}
+		t, ok := launches.pop(k)
+		if !ok {
+			return 0, fmt.Errorf("%w: launch stamps out of order", ErrMergeConservation)
+		}
+		for s := stops.smallest(); s >= 0 && stops[s][0] <= t; s = stops.smallest() {
+			if _, ok := stops.pop(s); !ok {
+				return 0, fmt.Errorf("%w: stop stamps out of order", ErrMergeConservation)
+			}
+			running--
+		}
+		running++
+		if running > peak {
+			peak = running
+		}
+	}
+	return peak, nil
+}
+
+// stampMerge is the unconsumed tails of k ascending stamp logs. The
+// shard count is small, so finding the smallest head is a linear scan.
+type stampMerge [][]int64
+
+// smallest returns the index of the tail with the smallest head (the
+// first such on ties), or -1 once every tail is consumed.
+func (m stampMerge) smallest() int {
+	best := -1
+	for k, tail := range m {
+		if len(tail) > 0 && (best < 0 || tail[0] < m[best][0]) {
+			best = k
+		}
+	}
+	return best
+}
+
+// pop consumes tail k's head. It reports false when the next head is
+// smaller than the one consumed: that log was not ascending, and the
+// merged order would be wrong.
+func (m stampMerge) pop(k int) (int64, bool) {
+	t := m[k][0]
+	m[k] = m[k][1:]
+	return t, len(m[k]) == 0 || m[k][0] >= t
 }

@@ -286,6 +286,13 @@ func (m *Model) PriceSeries(t catalog.InstanceType, az catalog.AZ) (PriceSeries,
 	return PriceSeries{w: w, start: m.snap.start}, nil
 }
 
+// PriceStepIndex returns the index of the PriceStep interval holding at,
+// counted from the market start; instants before the start fall in step
+// 0. Every spot price is constant within one step.
+func (m *Model) PriceStepIndex(at time.Time) int {
+	return m.snap.stepIndex(at, PriceStep)
+}
+
 // RegionSpotPrice returns the cheapest AZ spot price of t in r, and the AZ.
 func (m *Model) RegionSpotPrice(t catalog.InstanceType, r catalog.Region, at time.Time) (float64, catalog.AZ, error) {
 	return m.snap.regionSpotPrice(t, r, at)

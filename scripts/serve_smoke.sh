@@ -13,7 +13,17 @@
 set -eu
 
 tmp=$(mktemp -d)
-trap 'rm -rf "$tmp"' EXIT
+pid=""
+# On any exit, stop a live daemon the script started (a failed readiness
+# or placement check would otherwise leave it running), then clean up.
+cleanup() {
+    if [ -n "$pid" ]; then
+        kill "$pid" 2>/dev/null || true
+        wait "$pid" 2>/dev/null || true
+    fi
+    rm -rf "$tmp"
+}
+trap cleanup EXIT
 
 go build -o "$tmp/spotverse-serve" ./cmd/spotverse-serve
 
@@ -54,6 +64,7 @@ code=$(curl -s -o "$tmp/place.json" -w '%{http_code}' -X POST "http://$addr/v1/p
 kill -TERM "$pid"
 rc=0
 wait "$pid" || rc=$?
+pid=""
 [ "$rc" -eq 0 ] || { cat "$tmp/live.log" >&2; echo "SIGTERM drain exited $rc, want 0" >&2; exit 1; }
 grep -q 'drained clean' "$tmp/live.log"
 grep -q '"endpoint":"place"' "$tmp/live.jsonl"
